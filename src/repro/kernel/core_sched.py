@@ -156,8 +156,8 @@ class Kernel:
         #: scanning every node's kernel after every event.
         self.on_live_change: Optional[Any] = None
         #: Tasks queued on any runqueue (sum of ``rq.nr_queued``); lets
-        #: the balance timer and the idle-pull path skip whole-machine
-        #: scans when nothing is waiting anywhere.
+        #: the balance timer skip whole-machine scans when nothing is
+        #: waiting anywhere.
         self._queued_total = 0
         #: Optional observer fired when ``_queued_total`` transitions
         #: 0 → 1.  The sharded cluster runner parks this kernel's
@@ -173,6 +173,12 @@ class Kernel:
         #: second half of the sharded runner's parking soundness
         #: argument (see ``on_queued_nonempty``).
         self.on_migratable: Optional[Any] = None
+        #: Queued tasks whose CPU mask permits more than one CPU.  A
+        #: queued task always sits on an allowed CPU, so while this is
+        #: zero every queued task is pinned where it is and no idle pull
+        #: can move anything: ``__schedule`` skips the pull walk.  Kept
+        #: exact by _enqueue/_dequeue/_pick_next and set_affinity.
+        self._queued_migratable = 0
         self.context_switches = 0
         self.migrations = 0
         self._balance_started = False
@@ -380,8 +386,9 @@ class Kernel:
         # The class hook runs before the task is queued so the HPC
         # detector can adjust hardware priorities for the new iteration.
         task.sched_class.on_wakeup(task)
-        if self.trace is not None:
-            self._trace(task, "wake", cpu=cpu)
+        trace = self.trace
+        if trace is not None:
+            trace.record(self.sim.now, task, "wake", cpu=cpu)
         self._enqueue(task, cpu, wakeup=True)
         self._check_preempt(cpu, task)
         return True
@@ -419,8 +426,12 @@ class Kernel:
         task.sleep_reason = req.sleep_reason
         task.sleeping_on_wait = req.is_wait
         task.sched_class.on_block(rq, task, req.sleep_reason, req.is_wait)
-        if self.trace is not None:
-            self._trace(task, "block", cpu=cpu, reason=req.sleep_reason, wait=req.is_wait)
+        trace = self.trace
+        if trace is not None:
+            trace.record(
+                self.sim.now, task, "block",
+                cpu=cpu, reason=req.sleep_reason, wait=req.is_wait,
+            )
         rq.current = None
         self.__schedule(cpu)
 
@@ -434,6 +445,9 @@ class Kernel:
         task.sched_class.enqueue_task(rq, task)
         rq.nr_queued += 1
         self._queued_total += 1
+        mask = task.cpus_allowed
+        if mask is None or len(mask) > 1:
+            self._queued_migratable += 1
         if self._queued_total == 1:
             fam = self._ff_balance
             if fam is not None and fam.parked:
@@ -449,6 +463,9 @@ class Kernel:
         task.sched_class.dequeue_task(rq, task)
         rq.nr_queued -= 1
         self._queued_total -= 1
+        mask = task.cpus_allowed
+        if mask is None or len(mask) > 1:
+            self._queued_migratable -= 1
 
     def migrate(self, task: Task, dst: int) -> None:
         """Move a READY or RUNNING task to another CPU's runqueue.
@@ -509,6 +526,10 @@ class Kernel:
                         self.on_migratable()
             elif was and not now:
                 self._migratable -= 1
+            if task.state == TaskState.READY and now != was:
+                # A queued task's mask changed: adjust the queued census
+                # before any migrate below dequeues it under the new mask.
+                self._queued_migratable += 1 if now else -1
         if task.cpus_allowed is None:
             return
         if task.state == TaskState.READY and task.cpu not in task.cpus_allowed:
@@ -635,8 +656,9 @@ class Kernel:
             prev.cancel_phase_event()
             prev.state = TaskState.READY
             prev.sched_class.put_prev_task(rq, prev)
-            if self.trace is not None:
-                self._trace(prev, "preempted", cpu=cpu)
+            trace = self.trace
+            if trace is not None:
+                trace.record(self.sim.now, prev, "preempted", cpu=cpu)
             if prev.allows_cpu(cpu):
                 self._enqueue(prev, cpu, wakeup=False)
             else:
@@ -646,7 +668,11 @@ class Kernel:
                 self._check_preempt(dst, prev)
 
         next_task = self._pick_next(rq)
-        if next_task.is_idle_task and rq.nr_queued == 0 and self._queued_total:
+        if (
+            next_task.is_idle_task
+            and rq.nr_queued == 0
+            and self._queued_migratable
+        ):
             pulled = self.balancer.idle_pull(cpu)
             if pulled is not None:
                 next_task = self._pick_next(rq)
@@ -677,6 +703,9 @@ class Kernel:
                     if not task.is_idle_task:
                         rq.nr_queued -= 1
                         self._queued_total -= 1
+                        mask = task.cpus_allowed
+                        if mask is None or len(mask) > 1:
+                            self._queued_migratable -= 1
                     return task
         raise RuntimeError("scheduler found no task (idle class broken)")
 
@@ -692,8 +721,7 @@ class Kernel:
             task.cpu = cpu
             ctx.idle()
             self._rates_changed(ctx.core, skip_ctx=ctx)
-            if self.trace is not None:
-                self._trace(task, "run_idle", cpu=cpu)
+            # Idle tasks are never traced (the collector drops them).
             self._update_tick(cpu)
             return
 
@@ -708,8 +736,9 @@ class Kernel:
         # task's phase is (re)started by _start_phase below, and its
         # progress was already banked when it left the CPU.
         self._rates_changed(ctx.core, skip_ctx=ctx)
-        if self.trace is not None:
-            self._trace(task, "run", cpu=cpu)
+        trace = self.trace
+        if trace is not None:
+            trace.record(now, task, "run", cpu=cpu)
         if task.phase_remaining > _WORK_EPSILON:
             self._start_phase(cpu, task, delay=cost)
         else:

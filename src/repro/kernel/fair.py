@@ -10,7 +10,7 @@ wakeup preemption applies a ``sched_wakeup_granularity`` margin.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from repro.kernel.policies import FAIR_POLICIES
 from repro.kernel.rbtree import RBNode, RBTree
@@ -179,10 +179,9 @@ class FairClass(SchedClass):
         # The task returns to the tree via the core's enqueue path.
         pass
 
-    def pull_candidates(self, rq: "RunQueue") -> List["Task"]:
+    def pull_candidates(self, rq: "RunQueue") -> Iterator["Task"]:
         # Rightmost (least urgent) tasks are the cheapest to migrate.
-        q = rq.queue_for(self)
-        return [t for _, t in q.tree.items()][::-1]
+        return rq.queue_for(self).tree.reversed_values()
 
     # ------------------------------------------------------------------
     def _ideal_slice(self, rq: "RunQueue", task: "Task") -> float:
@@ -196,16 +195,17 @@ class FairClass(SchedClass):
         return max(min_gran, latency * w / total)
 
     def _update_min_vruntime(self, rq: "RunQueue") -> None:
+        # min_vruntime = max(min_vruntime, min(leftmost, current)) over
+        # whichever of the two exist.
         q = rq.queue_for(self)
-        candidates = []
-        left = q.leftmost()
-        if left is not None:
-            candidates.append(left.vruntime)
+        node = q.tree.minimum()
+        v = node.value.vruntime if node is not None else None
         cur = rq.current
         if cur is not None and cur.policy in self.policies:
-            candidates.append(cur.vruntime)
-        if candidates:
-            q.min_vruntime = max(q.min_vruntime, min(candidates))
+            if v is None or cur.vruntime < v:
+                v = cur.vruntime
+        if v is not None and v > q.min_vruntime:
+            q.min_vruntime = v
         oracles = self.kernel.oracles
         if oracles is not None:
             oracles.on_min_vruntime(rq.cpu, q.min_vruntime)

@@ -93,6 +93,8 @@ class LoadBalancer:
         for sched_class in kernel.classes:
             for task in sched_class.pull_candidates(src_rq):
                 if task.allows_cpu(dst):
+                    # Return at once: the candidates may be a lazy walk
+                    # of the queue the migration just changed.
                     kernel.migrate(task, dst)
                     return task
         return None

@@ -3,8 +3,9 @@
 The Linux CFS class keeps runnable entities in a red-black tree ordered
 by virtual runtime; the "leftmost" entity is the next to run (paper
 §III).  This is a from-scratch CLRS-style implementation with insert,
-delete, minimum and ordered iteration, parameterized by an explicit sort
-key so it is reusable (and property-testable) outside the scheduler.
+delete, minimum and ordered iteration (forward and reverse),
+parameterized by an explicit sort key so it is reusable (and
+property-testable) outside the scheduler.
 
 Keys must be totally ordered; duplicate keys are allowed (insertion
 order among equal keys is *not* guaranteed, callers that need stability
@@ -129,6 +130,28 @@ class RBTree:
         """In-order traversal of stored values."""
         for node in self._walk(self.root):
             yield node.value
+
+    def reversed_values(self) -> Iterator[Any]:
+        """Stored values from the largest key down, walked lazily along
+        parent pointers: taking the first value costs O(log n), not the
+        full traversal.  The tree must not change while the iterator is
+        still in use."""
+        node = self.root
+        if node is None:
+            return
+        while node.right is not None:
+            node = node.right
+        while node is not None:
+            yield node.value
+            if node.left is not None:
+                node = node.left
+                while node.right is not None:
+                    node = node.right
+            else:
+                parent = node.parent
+                while parent is not None and node is parent.left:
+                    node, parent = parent, parent.parent
+                node = parent
 
     # ------------------------------------------------------------------
     # Invariant checking (used by tests)

@@ -11,7 +11,7 @@ the paper exploits to add HPCSched without touching the other classes.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, Any, FrozenSet, Iterable, Optional
 
 from repro.kernel.policies import SchedPolicy
 
@@ -76,9 +76,11 @@ class SchedClass(ABC):
         self.enqueue_task(rq, task)
 
     # -- migration support --------------------------------------------
-    def pull_candidates(self, rq: "RunQueue") -> List["Task"]:
+    def pull_candidates(self, rq: "RunQueue") -> Iterable["Task"]:
         """Queued tasks eligible for migration off this CPU, in order of
-        preference (used by load balancing).  Default: none."""
+        preference (used by load balancing).  May be a lazy iterator:
+        the balancer stops at the first task it migrates, before the
+        queue changes.  Default: none."""
         return []
 
     # -- lifecycle hooks ----------------------------------------------

@@ -87,13 +87,13 @@ class SMTCore:
         Speed is a multiplier relative to the SMT-equal baseline (both
         contexts busy, equal priority -> 1.0).
         """
-        ctx = self.contexts[thread_index]
-        sib = ctx.sibling
+        contexts = self.contexts
+        ctx = contexts[thread_index]
+        sib = contexts[1 - thread_index]
+        # Positional (own_priority, sibling_priority, sibling_busy): this
+        # runs on every context switch.
         return self.perf_model.speed(
-            profile,
-            own_priority=int(ctx.priority),
-            sibling_priority=int(sib.priority),
-            sibling_busy=sib.busy,
+            profile, int(ctx.priority), int(sib.priority), sib.busy
         )
 
     def context_speeds(

@@ -28,7 +28,7 @@ the program-visible retired work by ``switches x cost x speed``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from repro.power5 import decode
 
@@ -57,14 +57,6 @@ class ContextCounters:
         return self.busy_time - self.st_time
 
 
-@dataclass
-class _Snapshot:
-    busy: bool = False
-    st_mode: bool = False
-    share: float = 0.0
-    rate: float = 0.0
-
-
 class CorePMU:
     """Counters + state snapshot for one core's two contexts."""
 
@@ -73,7 +65,9 @@ class CorePMU:
         self.counters: List[ContextCounters] = [
             ContextCounters() for _ in core.contexts
         ]
-        self._snap: List[_Snapshot] = [_Snapshot() for _ in core.contexts]
+        #: Per context: ``(decode share, rate, single-thread mode)`` while
+        #: busy, None while idle.
+        self._snap: Tuple[Optional[tuple], Optional[tuple]] = (None, None)
         self._last_time = 0.0
 
     def advance(self, now: float) -> None:
@@ -82,42 +76,48 @@ class CorePMU:
         dt = now - self._last_time
         if dt > 0:
             for ctr, snap in zip(self.counters, self._snap):
-                if not snap.busy:
+                if snap is None:
                     continue
+                share, rate, st_mode = snap
                 ctr.busy_time += dt
-                ctr.decode_share_integral += snap.share * dt
-                ctr.work_done += snap.rate * dt
-                if snap.st_mode:
+                ctr.decode_share_integral += share * dt
+                ctr.work_done += rate * dt
+                if st_mode:
                     ctr.st_time += dt
         self._last_time = now
         self._resnapshot()
 
     def _resnapshot(self) -> None:
-        ctxs = self.core.contexts
-        busy = [c.busy for c in ctxs]
-        for i, ctx in enumerate(ctxs):
-            snap = self._snap[i]
-            snap.busy = busy[i]
-            if not busy[i]:
-                snap.st_mode = False
-                snap.share = 0.0
-                snap.rate = 0.0
-                continue
-            sibling_busy = busy[1 - i]
-            snap.st_mode = not sibling_busy
-            if sibling_busy:
-                # Module-attribute call so the validated implementation
-                # installed by decode.enable_validation() is observed.
-                snap.share, _ = decode.decode_shares(
-                    int(ctxs[i].priority), int(ctxs[1 - i].priority)
-                )
+        core = self.core
+        c0, c1 = core.contexts
+        if c0.busy and c1.busy:
+            # Module-attribute call so the validated implementation
+            # installed by decode.enable_validation() is observed.  The
+            # arbitration is symmetric, so one call serves both contexts.
+            share0, share1 = decode.decode_shares(
+                int(c0.priority), int(c1.priority)
+            )
+            p0 = getattr(c0.task, "perf_profile", None)
+            p1 = getattr(c1.task, "perf_profile", None)
+            if p0 is not None and p1 is not None:
+                rate0, rate1 = core.context_speeds(p0, p1)
             else:
-                snap.share = 1.0
-            task = ctx.task
-            if task is not None and getattr(task, "perf_profile", None) is not None:
-                snap.rate = self.core.context_speed(i, task.perf_profile)
-            else:
-                snap.rate = 0.0
+                rate0 = core.context_speed(0, p0) if p0 is not None else 0.0
+                rate1 = core.context_speed(1, p1) if p1 is not None else 0.0
+            self._snap = ((share0, rate0, False), (share1, rate1, False))
+        elif c0.busy:
+            self._snap = (self._solo(0, c0), None)
+        elif c1.busy:
+            self._snap = (None, self._solo(1, c1))
+        else:
+            self._snap = (None, None)
+
+    def _solo(self, index: int, ctx) -> tuple:
+        """Snapshot of a busy context whose sibling is idle."""
+        profile = getattr(ctx.task, "perf_profile", None)
+        if profile is None:
+            return (1.0, 0.0, True)
+        return (1.0, self.core.context_speed(index, profile), True)
 
 
 class MachinePMU:

@@ -46,7 +46,7 @@ class TraceCollector:
         if tl is None:
             tl = TaskTimeline(task.pid, task.name)
             self.timelines[tl.pid] = tl
-        tl.transition(time, state, cpu=info.get("cpu"))
+        tl.transition(time, state, info.get("cpu"))
 
     # -- analysis helpers ----------------------------------------------
     def finish(self, time: float) -> None:

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 
 class State(Enum):
@@ -16,20 +15,35 @@ class State(Enum):
     NONE = "none"  # not yet started / exited
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """A raw scheduler event."""
-
+class _TraceEventFields(NamedTuple):
     time: float
     pid: int
     name: str
     kind: str
-    info: Dict[str, Any] = field(default_factory=dict)
+    info: Dict[str, Any]
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A maximal span of constant task state."""
+class TraceEvent(_TraceEventFields):
+    """A raw scheduler event (an immutable tuple; ``info`` defaults to a
+    fresh empty dict per event)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        time: float,
+        pid: int,
+        name: str,
+        kind: str,
+        info: Optional[Dict[str, Any]] = None,
+    ) -> "TraceEvent":
+        return tuple.__new__(
+            cls, (time, pid, name, kind, {} if info is None else info)
+        )
+
+
+class Interval(NamedTuple):
+    """A maximal span of constant task state (an immutable tuple)."""
 
     start: float
     end: float

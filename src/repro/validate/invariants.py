@@ -8,9 +8,11 @@ along with every :class:`~repro.kernel.core_sched.Kernel` and checks,
 * **simcore** — the event clock never moves backwards, a cancelled
   event is never delivered, and the queue's O(1) live pending count
   (what ``len()`` reports) agrees with a scan of the heap;
-* **kernel core** — CPU-time conservation: the occupancy charged to
-  tasks on a logical CPU never exceeds the wall-clock time that CPU has
-  existed (and per-task ``sum_exec_runtime`` never exceeds ``now``);
+* **kernel core** — the queued-migratable census that gates the idle
+  pull equals a scan of the queued tasks; CPU-time conservation: the
+  occupancy charged to tasks on a logical CPU never exceeds the
+  wall-clock time that CPU has existed (and per-task
+  ``sum_exec_runtime`` never exceeds ``now``);
   and every delivered phase completion lands on the eager-reschedule
   ETA — ``phase_started_at + phase_remaining / phase_rate`` — within
   tolerance, which pins the lazy ETA-revalidation fast path (ride +
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 import os
 from typing import TYPE_CHECKING, Dict, Optional
+
+from repro.kernel.policies import TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hpcsched.detector import LoadImbalanceDetector
@@ -97,8 +101,33 @@ class KernelOracles:
                 f"event-queue live count out of sync: tracked {tracked}, "
                 f"heap holds {actual} pending events"
             )
+        self.check_queued_migratable()
 
     # -- kernel core ---------------------------------------------------
+    def check_queued_migratable(self) -> None:
+        """The census gating the idle pull (``_queued_migratable``) must
+        equal a scan of the queued tasks.  At an event boundary the
+        queued tasks are exactly the READY ones, which the scan also
+        confirms against ``_queued_total``."""
+        kernel = self.kernel
+        queued = migratable = 0
+        for task in kernel.tasks.values():
+            if task.state is TaskState.READY:
+                queued += 1
+                mask = task.cpus_allowed
+                if mask is None or len(mask) > 1:
+                    migratable += 1
+        if queued != kernel._queued_total:
+            self._fail(
+                f"queued-task count out of sync: tracked "
+                f"{kernel._queued_total}, {queued} tasks are READY"
+            )
+        if migratable != kernel._queued_migratable:
+            self._fail(
+                f"queued-migratable census out of sync: tracked "
+                f"{kernel._queued_migratable}, scan finds {migratable}"
+            )
+
     def on_account(self, cpu: int, task: "Task", delta: float, now: float) -> None:
         """Fired by ``update_curr`` whenever occupancy is charged."""
         self.checks += 1

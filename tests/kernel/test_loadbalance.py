@@ -105,6 +105,88 @@ def test_migratable_census_tracks_masks(quiet_kernel):
     assert k._migratable == 0
 
 
+def _queued_migratable_scan(k):
+    """Queued tasks (READY outside a callback) whose mask allows >1 CPU."""
+    return sum(
+        1
+        for t in k.tasks.values()
+        if t.state is TaskState.READY
+        and (t.cpus_allowed is None or len(t.cpus_allowed) > 1)
+    )
+
+
+def test_queued_migratable_census_tracks_queue(quiet_kernel):
+    """``_queued_migratable`` counts queued tasks whose mask allows >1
+    CPU — the gate of the idle pull.  It follows enqueue, pick,
+    dequeue, migrate and mask changes of a queued task."""
+    k = quiet_kernel
+
+    def census(expected):
+        assert k._queued_migratable == expected
+        assert _queued_migratable_scan(k) == expected
+
+    census(0)
+    # enqueue: spawns queue until the pending reschedule runs.
+    a = k.spawn("a", pure_compute_program(0.2), cpu=0)
+    census(1)
+    p = k.spawn("p", pure_compute_program(0.2), cpu=0, cpus_allowed=[0])
+    census(1)  # pinned: queued but not migratable
+    b = k.spawn("b", pure_compute_program(0.2), cpu=0)
+    census(2)
+    # pick: cpu0 runs its leftmost task, which leaves the queue.
+    k._schedule(0)
+    assert a.state is TaskState.RUNNING
+    census(1)
+    # dequeue + enqueue round trip.
+    k._dequeue(b)
+    assert k._queued_migratable == 0
+    k._enqueue(b, 0, wakeup=False)
+    census(1)
+    # migrate keeps the count.
+    k.migrate(b, 2)
+    assert b.cpu == 2
+    census(1)
+    # set_affinity while queued: narrowing in place, narrowing off the
+    # current CPU (migrates), then widening.
+    k.set_affinity(b, {2})
+    assert b.cpu == 2 and b.state is TaskState.READY
+    census(0)
+    k.set_affinity(b, {3})
+    assert b.cpu == 3 and b.state is TaskState.READY
+    census(0)
+    k.set_affinity(b, {2, 3})
+    census(1)
+    k.set_affinity(p, {0, 1})
+    census(2)
+    k.set_affinity(b, None)
+    census(2)
+    k.run()
+    census(0)
+    assert all(t.state is TaskState.EXITED for t in (a, b, p))
+
+
+def test_idle_pull_gated_on_queued_migratable(quiet_kernel, monkeypatch):
+    """A CPU going idle walks its peers only when some queued task could
+    move; pinned-only queues (the SIESTA noise daemons) skip the walk."""
+    k = quiet_kernel
+    pulls = []
+    real = k.balancer.idle_pull
+
+    def spy(cpu):
+        pulls.append(cpu)
+        return real(cpu)
+
+    monkeypatch.setattr(k.balancer, "idle_pull", spy)
+    k.spawn("p0", pure_compute_program(0.2), cpu=0, cpus_allowed=[0])
+    k.spawn("p1", pure_compute_program(0.2), cpu=0, cpus_allowed=[0])
+    k._schedule(2)
+    assert pulls == []
+    free = k.spawn("f", pure_compute_program(0.2), cpu=0)
+    k._schedule(3)
+    assert pulls == [3]
+    assert free.cpu == 3
+
+
 def test_migratable_zero_to_one_edge_fires_hook(quiet_kernel):
     k = quiet_kernel
     edges = []

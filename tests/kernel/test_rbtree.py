@@ -134,3 +134,33 @@ def test_property_float_keys(keys):
         tree.insert(k, None)
     tree.check_invariants()
     assert [k for k, _ in tree.items()] == sorted(keys)
+
+
+def test_reversed_values_empty_and_partial():
+    t = RBTree()
+    assert list(t.reversed_values()) == []
+    for i in (5, 1, 9, 3):
+        t.insert(i, i)
+    walk = t.reversed_values()
+    assert next(walk) == 9  # the largest key comes first, lazily
+    assert list(walk) == [5, 3, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["ins", "del"]), st.integers(0, 20)),
+        max_size=150,
+    )
+)
+def test_property_reversed_values_mirror_values(ops):
+    """After random inserts/deletes (duplicate keys included) the lazy
+    reverse walk is exactly the in-order walk reversed."""
+    tree = RBTree()
+    nodes = []
+    for serial, (op, key) in enumerate(ops):
+        if op == "ins":
+            nodes.append(tree.insert(key, (key, serial)))
+        elif nodes:
+            tree.delete(nodes.pop(key % len(nodes)))
+        assert list(tree.reversed_values()) == list(tree.values())[::-1]

@@ -1,8 +1,9 @@
 """Timeline and interval unit tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.trace.records import Interval, State, TaskTimeline
+from repro.trace.records import Interval, State, TaskTimeline, TraceEvent
 
 
 def test_interval_duration():
@@ -77,3 +78,46 @@ def test_finish_idempotent_state():
     n = len(tl.intervals)
     tl.finish(1.0)
     assert len(tl.intervals) == n
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    time=_FLOATS,
+    pid=st.integers(),
+    kind=st.sampled_from(["run", "wake", "block", "hw_priority"]),
+    field=st.sampled_from(["time", "pid", "name", "kind", "info", "extra"]),
+)
+def test_property_trace_event_is_immutable(time, pid, kind, field):
+    ev = TraceEvent(time, pid, "t", kind, {"cpu": 0})
+    with pytest.raises(AttributeError):
+        setattr(ev, field, None)
+    assert ev == (time, pid, "t", kind, {"cpu": 0})
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    start=_FLOATS,
+    length=st.floats(0.0, 1e6),
+    state=st.sampled_from(list(State)),
+    cpu=st.none() | st.integers(0, 7),
+    field=st.sampled_from(["start", "end", "state", "cpu", "duration", "extra"]),
+)
+def test_property_interval_is_immutable(start, length, state, cpu, field):
+    iv = Interval(start, start + length, state, cpu)
+    with pytest.raises(AttributeError):
+        setattr(iv, field, None)
+    assert iv.duration == iv.end - iv.start
+
+
+@settings(max_examples=20, deadline=None)
+@given(time=_FLOATS, pid=st.integers(), key=st.text(max_size=5))
+def test_property_default_info_is_not_shared(time, pid, key):
+    a = TraceEvent(time, pid, "a", "run")
+    b = TraceEvent(time, pid, "b", "run")
+    assert a.info == {} and b.info == {}
+    assert a.info is not b.info
+    a.info[key] = 1
+    assert b.info == {}

@@ -143,6 +143,29 @@ def test_on_event_rejects_time_travel(oracles):
         oracles.on_event(early)
 
 
+def _compute(work):
+    yield Compute(work)
+
+
+def test_on_event_rejects_queued_migratable_drift(oracles):
+    kernel = oracles.kernel
+    kernel.spawn("a", _compute(0.01), cpu=0)
+    kernel.spawn("p", _compute(0.01), cpu=0, cpus_allowed=[0])
+    oracles.check_queued_migratable()
+    kernel._queued_migratable += 1
+    ev = kernel.sim.queue.push(1.0, lambda: None)
+    with pytest.raises(InvariantViolation, match="queued-migratable census"):
+        oracles.on_event(ev)
+
+
+def test_on_event_rejects_queued_count_drift(oracles):
+    kernel = oracles.kernel
+    kernel.spawn("a", _compute(0.01), cpu=0)
+    kernel._queued_total -= 1
+    with pytest.raises(InvariantViolation, match="queued-task count"):
+        oracles.check_queued_migratable()
+
+
 def test_on_vruntime_rejects_regression(oracles):
     task = oracles.kernel.spawn("t", iter(()), cpu=0)
     task.vruntime = 2.0
