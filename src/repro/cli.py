@@ -51,6 +51,27 @@ from typing import Any, Dict, Optional, Sequence
 from repro.experiments.registry import all_ids, run_by_id
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_int_list(text: str) -> list[int]:
+    """argparse ``type``: comma-separated integers, each >= 1."""
+    values = [_positive_int(x.strip()) for x in text.split(",") if x.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one integer")
+    return values
+
+
 def _print_result(exp_id: str, result) -> None:
     from repro.analysis.tables import format_characterization_table, format_comparison
     from repro.experiments.common import ExperimentResult
@@ -106,7 +127,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     runp = sub.add_parser("run", help="run one experiment")
     runp.add_argument("experiment", help="experiment id (see 'list')")
     runp.add_argument(
-        "--iterations", type=int, default=None, help="override iteration count"
+        "--iterations", type=_positive_int, default=None,
+        help="override iteration count",
     )
     runp.add_argument(
         "--param",
@@ -267,7 +289,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(default: 4 per node, one per logical CPU)",
     )
     clu.add_argument(
-        "--iterations", type=int, default=None,
+        "--iterations", type=_positive_int, default=None,
         help="barrier-synchronized iterations per rank (default 10)",
     )
     clu.add_argument(
@@ -276,7 +298,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "instance per node",
     )
     clu.add_argument(
-        "--shards", type=int, default=None, metavar="K",
+        "--shards", type=_positive_int, default=None, metavar="K",
         help="partition the cluster over K conservative-PDES shard "
         "simulators (bit-identical per-rank completion times; "
         "default: single serial simulator)",
@@ -445,10 +467,10 @@ def _add_synth_parser(sub) -> None:
         help="target imbalance factor max/mean (default 2.0)",
     )
     sca.add_argument(
-        "--ranks", type=int, default=8,
+        "--ranks", type=_positive_int, default=8,
         help="MPI ranks, one per logical CPU (default 8)",
     )
-    sca.add_argument("--iterations", type=int, default=10)
+    sca.add_argument("--iterations", type=_positive_int, default=10)
     sca.add_argument("--seed", type=int, default=0)
     sca.add_argument(
         "--placement", choices=["paired", "bad", "shuffled"],
@@ -467,11 +489,11 @@ def _add_synth_parser(sub) -> None:
         "(default 1.0,1.5,2.0,4.0)",
     )
     swe.add_argument(
-        "--ranks", default="4,16,64",
+        "--ranks", type=_positive_int_list, default="4,16,64",
         help="comma-separated rank counts (default 4,16,64); "
         "infeasible cells (imbalance > ranks) are dropped",
     )
-    swe.add_argument("--iterations", type=int, default=5)
+    swe.add_argument("--iterations", type=_positive_int, default=5)
     swe.add_argument("--seed", type=int, default=0)
 
     con = ssub.add_parser(
@@ -479,12 +501,12 @@ def _add_synth_parser(sub) -> None:
         help="step-change reaction time: epochs/sim-seconds until the "
         "detector's measured imbalance recovers after a load swap",
     )
-    con.add_argument("--ranks", type=int, default=16)
+    con.add_argument("--ranks", type=_positive_int, default=16)
     con.add_argument(
         "--imbalance", type=float, default=1.5,
         help="SMT-pair imbalance factor in [1, 2] (default 1.5)",
     )
-    con.add_argument("--iterations", type=int, default=12)
+    con.add_argument("--iterations", type=_positive_int, default=12)
     con.add_argument(
         "--step-at", type=int, default=None,
         help="0-based iteration of the load swap (default: midpoint)",
@@ -553,10 +575,9 @@ def _synth(args) -> int:
     if args.synth_command == "sweep":
         try:
             imbalances = [float(x) for x in args.imbalances.split(",") if x.strip()]
-            ranks = [int(x) for x in args.ranks.split(",") if x.strip()]
             result = run_synth_sweep(
                 imbalances=imbalances,
-                ranks=ranks,
+                ranks=args.ranks,
                 iterations=args.iterations,
                 seed=args.seed,
                 schedulers=scheds(("cfs", "adaptive")),

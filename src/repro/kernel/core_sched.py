@@ -105,13 +105,6 @@ class Kernel:
         self._resched_fns = {
             c: (lambda c=c: self._resched_fire(c)) for c in self.machine.cpu_ids
         }
-        #: Cancel a CPU's still-pending resched event when __schedule
-        #: runs through a direct path (exit/block/migrate) — the event
-        #: would fire as a need_resched=False no-op anyway.  Only the
-        #: accelerated core does this: cancelling frees a bucket slot
-        #: there, while the heap core's lazy-deletion queue gains nothing
-        #: over the no-op delivery.
-        self._coalesce_resched = getattr(self.sim, "core", "heap") == "fast"
         self.tunables.subscribe(self._refresh_tunable_cache)
 
         #: Simulated performance counters (decode shares, ST time, ...),
@@ -640,11 +633,6 @@ class Kernel:
         """Pick the best runnable task on ``cpu`` and switch to it."""
         rq = self.rqs[cpu]
         rq.need_resched = False
-        if self._coalesce_resched:
-            ev = rq.resched_event
-            if ev is not None:
-                rq.resched_event = None
-                ev.cancel()
         prev = rq.current
 
         # A still-runnable prev (preemption path) goes back to its queue —

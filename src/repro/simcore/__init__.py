@@ -1,21 +1,16 @@
 """Discrete-event simulation core.
 
 The engine is deliberately small: a monotonic clock, a binary-heap event
-queue with stable tie-breaking, and cancellable event handles.  Everything
-else in the stack (the simulated kernel, the POWER5 chip model, the MPI
-runtime) is built as callbacks on top of this engine.
+queue with stable tie-breaking, cancellable event handles and a single
+delivery loop.  There is one engine and no switch to select another.
+Everything else in the stack (the simulated kernel, the POWER5 chip
+model, the MPI runtime) is built as callbacks on top of this engine.
 
 Time is a float measured in **seconds** of simulated machine time.
 """
 
 from repro.simcore.events import Event, EventQueue
 from repro.simcore.engine import Simulator, SimulationError
-from repro.simcore.fastcore import (
-    FastEvent,
-    FastEventQueue,
-    FastSimulator,
-    fastcore_enabled,
-)
 from repro.simcore.fastforward import (
     ChainFamily,
     TimerChain,
@@ -33,10 +28,6 @@ __all__ = [
     "EventQueue",
     "Simulator",
     "SimulationError",
-    "FastEvent",
-    "FastEventQueue",
-    "FastSimulator",
-    "fastcore_enabled",
     "ChainFamily",
     "TimerChain",
     "fastforward_enabled",

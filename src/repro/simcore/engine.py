@@ -9,12 +9,13 @@ with :meth:`Simulator.at` / :meth:`Simulator.after`; the engine guarantees:
 * a hard event-count limit catches accidental livelock (zero-delay loops).
 
 The run loop is the hottest code in the repository: every simulated
-context switch, tick, wakeup and phase completion pays it once.  It is
-therefore hand-flattened — one heap access per delivered event, no
-intermediate ``peek``/``step``/``pop`` call layers — and ``at``/``after``
-construct the :class:`Event` directly instead of going through
-``EventQueue.push``.  ``Simulator.step`` keeps the composable slow path
-for external single-stepping; both paths have identical semantics.
+context switch, tick, wakeup and phase completion pays it once.  There
+is exactly one delivery loop, hand-flattened — a heap peek and pop per
+delivered event, no intermediate ``peek``/``step``/``pop`` call layers —
+and ``at``/``after`` construct the :class:`Event` directly instead of
+going through ``EventQueue.push``.  ``Simulator.step`` keeps the
+composable slow path for external single-stepping; both paths have
+identical semantics.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from time import perf_counter as _perf_counter
 from typing import Any, Callable, Optional
 
 from repro.simcore.events import Event, EventQueue
-from repro.simcore.fastforward import fastforward_enabled
 from repro.simcore.profile import get_active_profiler
 
 #: Default ceiling on processed events, generous enough for multi-hundred
@@ -37,57 +37,19 @@ class SimulationError(RuntimeError):
 
 
 class Simulator:
-    """Discrete-event simulator with a float clock in simulated seconds.
+    """Discrete-event simulator with a float clock in simulated seconds."""
 
-    Constructing ``Simulator(...)`` dispatches to the accelerated
-    bucketed core (:class:`repro.simcore.fastcore.FastSimulator`) unless
-    ``core="heap"`` or ``REPRO_FASTCORE=0`` selects this heap engine;
-    both cores deliver identical event sequences (enforced by the
-    validation oracle stack) and expose the same API, so callers never
-    need to know which one they got — ``.core`` says.
-    """
-
-    def __new__(cls, *args, **kwargs):
-        if cls is Simulator:
-            core = kwargs.get("core")
-            if core is None and len(args) >= 3:
-                core = args[2]
-            # Imported lazily: fastcore imports this module.
-            from repro.simcore.fastcore import FastSimulator, fastcore_enabled
-
-            if fastcore_enabled(core):
-                return super().__new__(FastSimulator)
-        return super().__new__(cls)
-
-    def __init__(
-        self,
-        max_events: int = DEFAULT_MAX_EVENTS,
-        fastforward: Optional[bool] = None,
-        core: Optional[str] = None,
-    ) -> None:
+    def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
         self.now: float = 0.0
         self.queue = EventQueue()
         self.max_events = max_events
         self.events_processed = 0
         self._running = False
         self._stop_requested = False
-        #: Which engine implementation this instance is ("heap"/"fast").
-        self.core = "heap"
-        #: Count of fast-forward chain-family users attached to this
-        #: simulator (kernels bump it at construction).  The accelerated
-        #: core's storm stage checks it per instant so that a kernel
-        #: created *inside* an event (e.g. a campaign spawn) flips the
-        #: engine into priority-tracked delivery before any chain family
-        #: can read ``cur_event_prio``.
-        self._ff_users = 0
         #: Per-event-type profiler (``bench --profile``); snapshot of the
         #: module-level active profiler at construction.  When set, the
-        #: run loops take the general (per-event timed) path.
+        #: run loop times every callback.
         self.profiler = get_active_profiler()
-        #: Fast-forward engine flag (REPRO_FASTFORWARD, default on).
-        #: Gates the batched same-instant delivery loop; timer elision
-        #: itself lives with the timer owners (see simcore.fastforward).
-        self.fastforward = fastforward_enabled(fastforward)
         #: Priority of the event whose callback is currently executing
         #: (``None`` outside event delivery).  Fast-forward re-arm walks
         #: use it to order a reinstated chain point that collides with
@@ -99,7 +61,7 @@ class Simulator:
         self.oracle: Optional[Any] = None
         #: Same-instant work queued by :meth:`defer`; drained after the
         #: current event's callback returns, before ``stop_when``.  The
-        #: list object is stable so run loops may bind it locally.
+        #: list object is stable so the run loop may bind it locally.
         self._deferred: list[Callable[[], Any]] = []
 
     def defer(self, fn: Callable[[], Any]) -> None:
@@ -175,20 +137,21 @@ class Simulator:
     def step(self) -> bool:
         """Fire the next pending event.  Returns ``False`` when the queue
         is empty (nothing fired)."""
-        ev = self.queue.pop()
-        if ev is None:
+        t = self.queue.peek_time()
+        if t is None:
             return False
+        if self.events_processed >= self.max_events:
+            raise SimulationError(
+                f"event limit {self.max_events} exceeded at t={t}: "
+                "likely a zero-delay event livelock"
+            )
+        ev = self.queue.pop()
         if ev.time < self.now:
             raise SimulationError(
                 f"event {ev!r} scheduled in the past (now={self.now})"
             )
         self.now = ev.time
         self.events_processed += 1
-        if self.events_processed > self.max_events:
-            raise SimulationError(
-                f"event limit {self.max_events} exceeded at t={self.now}: "
-                "likely a zero-delay event livelock"
-            )
         if self.oracle is not None:
             self.oracle.on_event(ev)
         self.cur_event_prio = ev.priority
@@ -231,10 +194,11 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         self._stop_requested = False
-        # Hot loop: one heap access per delivered event.  The heap list
-        # is mutated in place everywhere (clear() included), so the local
-        # binding stays valid across callbacks.  ``oracle`` is snapshot
-        # once — it is installed at kernel construction, never mid-run.
+        # Hot loop: one heap peek and pop per delivered event.  The heap
+        # list is mutated in place everywhere (clear() and compaction
+        # included), so the local binding stays valid across callbacks.
+        # ``oracle`` and ``profiler`` are snapshot once — both are
+        # installed before the run, never mid-run.
         queue = self.queue
         heap = queue._heap
         heappop = heapq.heappop
@@ -244,145 +208,54 @@ class Simulator:
         deferred = self._deferred
         processed = self.events_processed
         try:
-            if (
-                until is None
-                and oracle is None
-                and profiler is None
-                and self.fastforward
-            ):
-                # Batched fast path: same-instant events are drained as
-                # one group — the past-check and the clock store are
-                # paid once per distinct timestamp, and each event still
-                # costs exactly one heap access.
-                while not self._stop_requested:
-                    if not heap:
-                        break
-                    entry = heappop(heap)
-                    ev = entry[3]
-                    if ev.cancelled:
-                        queue._corpses -= 1
-                        continue
-                    t = entry[0]
-                    if t < self.now:
-                        raise SimulationError(
-                            f"event {ev!r} scheduled in the past "
-                            f"(now={self.now})"
-                        )
-                    self.now = t
-                    while True:
-                        ev._queue = None
-                        queue._live -= 1
-                        processed += 1
-                        self.events_processed = processed
-                        if processed > max_events:
-                            raise SimulationError(
-                                f"event limit {max_events} exceeded at "
-                                f"t={self.now}: likely a zero-delay "
-                                "event livelock"
-                            )
-                        self.cur_event_prio = entry[1]
-                        ev.fn()
-                        if deferred:
-                            self._run_deferred()
-                        if stop_when is not None and stop_when():
-                            self._stop_requested = True
-                            break
-                        if self._stop_requested:
-                            break
-                        # Same-instant continuation (callbacks may have
-                        # scheduled more work at t, or cancelled some).
-                        ev = None
-                        while heap and heap[0][0] == t:
-                            entry = heappop(heap)
-                            ev = entry[3]
-                            if not ev.cancelled:
-                                break
-                            queue._corpses -= 1
-                            ev = None
-                        if ev is None:
-                            break
-            elif until is None and oracle is None and profiler is None:
-                # Unbatched fast path (fast-forward off): pop directly;
-                # cancelled entries are dropped as they surface.
-                while not self._stop_requested:
-                    if not heap:
-                        break
-                    entry = heappop(heap)
-                    ev = entry[3]
-                    if ev.cancelled:
-                        queue._corpses -= 1
-                        continue
-                    ev._queue = None
-                    queue._live -= 1
-                    t = entry[0]
-                    if t < self.now:
-                        raise SimulationError(
-                            f"event {ev!r} scheduled in the past "
-                            f"(now={self.now})"
-                        )
-                    self.now = t
-                    processed += 1
-                    self.events_processed = processed
-                    if processed > max_events:
-                        raise SimulationError(
-                            f"event limit {max_events} exceeded at "
-                            f"t={self.now}: likely a zero-delay event "
-                            "livelock"
-                        )
-                    self.cur_event_prio = entry[1]
-                    ev.fn()
-                    if deferred:
-                        self._run_deferred()
-                    if stop_when is not None and stop_when():
-                        break
-            else:
-                # General path: peek first so events beyond the horizon
-                # stay queued, and feed the oracle when one is attached.
-                while not self._stop_requested:
-                    while heap and heap[0][3].cancelled:
-                        heappop(heap)
-                        queue._corpses -= 1
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    t = entry[0]
-                    if until is not None and (
-                        t > until or (until_exclusive and t >= until)
-                    ):
-                        if until > self.now:
-                            self.now = until
-                        break
+            # Peek first so events beyond the horizon stay queued.
+            while not self._stop_requested:
+                if not heap:
+                    break
+                entry = heap[0]
+                ev = entry[3]
+                if ev.cancelled:
                     heappop(heap)
-                    ev = entry[3]
-                    ev._queue = None
-                    queue._live -= 1
-                    if t < self.now:
-                        raise SimulationError(
-                            f"event {ev!r} scheduled in the past "
-                            f"(now={self.now})"
-                        )
-                    self.now = t
-                    processed += 1
-                    self.events_processed = processed
-                    if processed > max_events:
-                        raise SimulationError(
-                            f"event limit {max_events} exceeded at "
-                            f"t={self.now}: likely a zero-delay event "
-                            "livelock"
-                        )
-                    if oracle is not None:
-                        oracle.on_event(ev)
-                    self.cur_event_prio = entry[1]
-                    if profiler is None:
-                        ev.fn()
-                    else:
-                        t0 = _perf_counter()
-                        ev.fn()
-                        profiler.record(ev.label, _perf_counter() - t0)
-                    if deferred:
-                        self._run_deferred()
-                    if stop_when is not None and stop_when():
-                        break
+                    queue._corpses -= 1
+                    continue
+                t = entry[0]
+                if until is not None and (
+                    t > until or (until_exclusive and t >= until)
+                ):
+                    if until > self.now:
+                        self.now = until
+                    break
+                if processed >= max_events:
+                    # Delivery max_events + 1 is refused before its pop:
+                    # the event stays queued and the count stays exact.
+                    raise SimulationError(
+                        f"event limit {max_events} exceeded at t={t}: "
+                        "likely a zero-delay event livelock"
+                    )
+                heappop(heap)
+                ev._queue = None
+                queue._live -= 1
+                if t < self.now:
+                    raise SimulationError(
+                        f"event {ev!r} scheduled in the past "
+                        f"(now={self.now})"
+                    )
+                self.now = t
+                processed += 1
+                self.events_processed = processed
+                if oracle is not None:
+                    oracle.on_event(ev)
+                self.cur_event_prio = entry[1]
+                if profiler is None:
+                    ev.fn()
+                else:
+                    t0 = _perf_counter()
+                    ev.fn()
+                    profiler.record(ev.label, _perf_counter() - t0)
+                if deferred:
+                    self._run_deferred()
+                if stop_when is not None and stop_when():
+                    break
             if until is not None:
                 while heap and heap[0][3].cancelled:
                     heappop(heap)

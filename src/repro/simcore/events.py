@@ -196,9 +196,8 @@ class EventQueue:
 
     def iter_entries(self):
         """Yield ``(time, event)`` for every pending event, in no
-        particular order.  Queue-implementation-agnostic introspection
-        (the accelerated core's queue offers the same method), used by
-        consumers that would otherwise walk ``_heap`` directly."""
+        particular order.  Used by consumers (the sharded runner) that
+        would otherwise walk ``_heap`` directly."""
         for entry in self._heap:
             ev = entry[3]
             if not ev.cancelled:

@@ -55,9 +55,9 @@ This module generalizes the sharded runner's balance-timer parking
   split exactly.
 
 The engine is wired behind one flag: the ``REPRO_FASTFORWARD``
-environment variable (default on), overridable per component
-(``Kernel(fastforward=...)``, ``Simulator(fastforward=...)``).  With the
-flag off, every consumer falls back to the stock always-armed chains.
+environment variable (default on), overridable per kernel
+(``Kernel(fastforward=...)``).  With the flag off, every consumer falls
+back to the stock always-armed chains.
 """
 
 from __future__ import annotations
@@ -134,13 +134,6 @@ class ChainFamily:
         self.sim = sim
         self.interval = interval
         self.priority = priority
-        # Chain families are the only consumers of ``sim.cur_event_prio``
-        # (the re-arm tie walk).  Registering here lets the accelerated
-        # core skip priority tracking entirely until the first family
-        # exists — including kernels constructed mid-run, whose chains
-        # anchor at or after ``now`` and are therefore first observable
-        # at an instant the storm stage re-checks this counter.
-        sim._ff_users += 1
         self.chains: Dict[Any, TimerChain] = {}
         #: Number of currently-parked chains (fast guard for edge hooks).
         self.parked = 0

@@ -1,29 +1,26 @@
-"""Slotted resched coalescing (accelerated core) and the
-``Simulator.defer`` drain-ordering contract underneath it.
+"""Same-slot resched collapse and the ``Simulator.defer``
+drain-ordering contract underneath it.
 
 ``resched()`` is the same-slot collapse: any number of reschedule
 requests for one CPU within one delivery slot share a single canonical
-event (the dedup guard on ``rq.resched_event``).  On the accelerated
-core the direct-``__schedule`` paths (exit/block/migrate) additionally
-*cancel* a still-pending canonical event — it would deliver as a
-``need_resched=False`` no-op — and the deferred rate recompute must
-observe the instant's final state at the boundary of the event that did
-the scheduling, not ride on the elided duplicate.
+event (the dedup guard on ``rq.resched_event``).  When a direct
+``__schedule`` path (exit/block/migrate) runs first, the pending
+canonical event stays queued and delivers as a ``need_resched=False``
+no-op; the deferred rate recompute must observe the instant's final
+state at the boundary of the event that did the scheduling, not ride on
+that duplicate.
 """
 
-import pytest
-
 from repro.kernel import Kernel
-from repro.kernel.policies import TaskState
 from repro.power5.machine import Machine, MachineTopology
 from repro.power5.perfmodel import TableDrivenModel
 from repro.simcore.engine import Simulator
 from tests.conftest import pure_compute_program
 
 
-def _kernel(core):
+def _kernel(fastforward=None):
     machine = Machine(MachineTopology(), TableDrivenModel())
-    return Kernel(machine=machine, sim=Simulator(core=core))
+    return Kernel(machine=machine, sim=Simulator(), fastforward=fastforward)
 
 
 def _pending_rescheds(sim, cpu):
@@ -31,9 +28,8 @@ def _pending_rescheds(sim, cpu):
     return [ev for _, ev in sim.queue.iter_entries() if ev.label == label]
 
 
-@pytest.mark.parametrize("core", ["heap", "fast"])
-def test_same_slot_rescheds_collapse_to_one_event(core):
-    k = _kernel(core)
+def test_same_slot_rescheds_collapse_to_one_event():
+    k = _kernel()
     k.spawn("a", pure_compute_program(0.5), cpu=0)
     k.spawn("b", pure_compute_program(0.5), cpu=0)
 
@@ -49,50 +45,11 @@ def test_same_slot_rescheds_collapse_to_one_event(core):
     assert observed["pending"] == 1
 
 
-@pytest.mark.parametrize("core", ["heap", "fast"])
-def test_coalesce_gate_follows_core(core):
-    assert _kernel(core)._coalesce_resched is (core == "fast")
-
-
-def test_direct_schedule_cancels_pending_duplicate_fastcore():
-    """migrate() on a running task reaches __schedule directly; a
-    resched event pending for the same slot is the elided duplicate —
-    the fast core cancels it and it never fires."""
-    k = _kernel("fast")
-    a = k.spawn("a", pure_compute_program(0.5), cpu=0)
-
-    fires = []
-    orig_fire = k._resched_fire
-    k._resched_fire = lambda cpu: (fires.append(cpu), orig_fire(cpu))[1]
-
-    seen = {}
-
-    def provoke():
-        fires.clear()  # drop boot-time rescheds; watch this slot only
-        k.resched(0)
-        dup = k.rqs[0].resched_event
-        assert dup is not None and not dup.cancelled
-        k.migrate(a, 2)  # RUNNING task: direct _schedule(0) inside
-        seen["dup_cancelled"] = dup.cancelled
-        seen["slot_cleared"] = k.rqs[0].resched_event is not dup
-        seen["fires_in_handler"] = list(fires)
-
-    k.sim.at(0.01, provoke, priority=1)
-    k.sim.run(until=0.02)
-    assert seen["dup_cancelled"] is True
-    assert seen["slot_cleared"] is True
-    # A fresh resched may legitimately re-arm during/after the direct
-    # __schedule, but the cancelled duplicate itself never delivers —
-    # at most one post-handler fire per CPU (the re-armed canonical).
-    assert not seen["fires_in_handler"]
-    assert fires.count(0) <= 1
-    assert a.cpu == 2 and a.state in (TaskState.READY, TaskState.RUNNING)
-
-
 def test_heap_core_delivers_duplicate_as_noop():
-    """The heap core keeps the duplicate (lazy deletion gains nothing
-    from a cancel); it must deliver exactly once as a no-op."""
-    k = _kernel("heap")
+    """A direct __schedule leaves the pending duplicate queued (lazy
+    deletion gains nothing from a cancel); it must deliver exactly once
+    as a no-op."""
+    k = _kernel()
     a = k.spawn("a", pure_compute_program(0.5), cpu=0)
 
     fires = []
@@ -109,13 +66,12 @@ def test_heap_core_delivers_duplicate_as_noop():
     assert (0, False) in fires
 
 
-@pytest.mark.parametrize("core", ["heap", "fast"])
-def test_deferred_rate_drain_observes_coalesced_event(core):
+def test_deferred_rate_drain_observes_coalesced_event():
     """The rate recompute deferred during the coalescing __schedule must
     drain at the boundary of the event that scheduled (before the clock
     moves and before any duplicate's slot), seeing the final SMT state
     of the instant."""
-    k = _kernel(core)
+    k = _kernel()
     a = k.spawn("a", pure_compute_program(0.5), cpu=0)
 
     order = []
@@ -136,7 +92,7 @@ def test_deferred_rate_drain_observes_coalesced_event(core):
     k.sim.run(until=0.02)
     # The drain ran exactly at the provoking event's boundary: same
     # instant, immediately after the handler returned, with the dirty
-    # set intact (not flushed early by the elided duplicate's slot).
+    # set intact (not flushed early by the duplicate's slot).
     idx = order.index(("handler-done", 0.01))
     assert order[idx + 1][0] == "drain"
     assert order[idx + 1][1] == 0.01
@@ -145,11 +101,12 @@ def test_deferred_rate_drain_observes_coalesced_event(core):
 
 
 def test_twin_run_migrate_under_pending_resched_identical():
-    """End-to-end equivalence of the coalesced path: identical final
-    clock and context-switch counts on both cores."""
+    """End-to-end equivalence of the duplicate-resched path: identical
+    final clock, context-switch and migration counts with timer elision
+    on and off."""
     results = {}
-    for core in ("heap", "fast"):
-        k = _kernel(core)
+    for ff in (True, False):
+        k = _kernel(ff)
         a = k.spawn("a", pure_compute_program(0.3), cpu=0)
         k.spawn("b", pure_compute_program(0.3), cpu=0)
 
@@ -159,5 +116,5 @@ def test_twin_run_migrate_under_pending_resched_identical():
 
         k.sim.at(0.01, provoke, priority=1)
         end = k.run()
-        results[core] = (end, k.context_switches, k.migrations)
-    assert results["heap"] == results["fast"]
+        results[ff] = (end, k.context_switches, k.migrations)
+    assert results[True] == results[False]

@@ -159,13 +159,53 @@ def test_events_can_schedule_events():
 
 def test_livelock_guard():
     sim = Simulator(max_events=100)
+    fired = []
 
     def loop():
+        fired.append(sim.now)
         sim.after(0.0, loop)
 
     sim.after(0.0, loop)
     with pytest.raises(SimulationError, match="livelock"):
         sim.run()
+    # Raised on delivery 101, before it popped: the count is exact and
+    # the refused event is still pending.
+    assert len(fired) == 100
+    assert sim.events_processed == 100
+    assert len(sim.queue) == 1
+    # The limit also holds for single-stepping.
+    with pytest.raises(SimulationError, match="livelock"):
+        sim.step()
+    assert sim.events_processed == 100
+
+
+def test_handler_exception_leaves_queue_consistent():
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        fired.append("boom")
+        sim.after(0.5, lambda: fired.append("scheduled-by-boom"))
+        raise ValueError("handler failed")
+
+    sim.at(1.0, lambda: fired.append("first"))
+    sim.at(2.0, boom)
+    sim.at(2.0, lambda: fired.append("same-instant"), priority=1)
+    sim.at(3.0, lambda: fired.append("later"))
+    with pytest.raises(ValueError, match="handler failed"):
+        sim.run()
+    assert fired == ["first", "boom"]
+    assert sim.now == 2.0
+    assert sim.events_processed == 2
+    assert sim.cur_event_prio is None
+    assert sim.queue.live_count_check() == (len(sim.queue), len(sim.queue))
+    assert len(sim.queue) == 3
+    # A second run neither re-delivers the failed event nor skips the
+    # one queued behind it at the same instant.
+    sim.run()
+    assert fired == ["first", "boom", "same-instant", "scheduled-by-boom", "later"]
+    assert sim.events_processed == 5
+    assert sim.queue.live_count_check() == (0, 0)
 
 
 def test_step_returns_false_when_empty():

@@ -1,5 +1,6 @@
-"""Fast-forward engine primitives: flag resolution, batched same-instant
-delivery, and the ChainFamily park/re-arm/reap/retime arithmetic."""
+"""Fast-forward engine primitives: flag resolution, the same-instant
+delivery contract chain re-arms rely on, and the ChainFamily
+park/re-arm/reap/retime arithmetic."""
 
 import pytest
 
@@ -34,17 +35,11 @@ def test_flag_override_beats_env(monkeypatch):
     assert fastforward_enabled(False) is False
 
 
-def test_simulator_records_flag(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTFORWARD", "0")
-    assert Simulator().fastforward is False
-    assert Simulator(fastforward=True).fastforward is True
-
-
 # ----------------------------------------------------------------------
-# Batched same-instant delivery
+# Same-instant delivery
 # ----------------------------------------------------------------------
 def test_batched_delivery_preserves_priority_order():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     order = []
     sim.at(1.0, lambda: order.append("p5"), priority=5)
     sim.at(1.0, lambda: order.append("p0"), priority=0)
@@ -57,7 +52,7 @@ def test_batched_delivery_preserves_priority_order():
 def test_batched_delivery_sees_events_scheduled_at_same_instant():
     # A handler scheduling more work at the current instant must have it
     # delivered inside the same batch, in priority order.
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     order = []
 
     def first():
@@ -71,7 +66,7 @@ def test_batched_delivery_sees_events_scheduled_at_same_instant():
 
 
 def test_batched_delivery_skips_events_cancelled_within_batch():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     order = []
     victim = sim.at(1.0, lambda: order.append("victim"), priority=5)
     sim.at(1.0, lambda: victim.cancel(), priority=0)
@@ -81,7 +76,7 @@ def test_batched_delivery_skips_events_cancelled_within_batch():
 
 
 def test_stop_inside_batch_halts_before_next_event():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     order = []
     sim.at(1.0, lambda: (order.append("a"), sim.stop()), priority=0)
     sim.at(1.0, lambda: order.append("b"), priority=1)
@@ -91,7 +86,7 @@ def test_stop_inside_batch_halts_before_next_event():
 
 
 def test_stop_when_inside_batch_halts_before_next_event():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     order = []
     sim.at(1.0, lambda: order.append("a"), priority=0)
     sim.at(1.0, lambda: order.append("b"), priority=1)
@@ -100,33 +95,25 @@ def test_stop_when_inside_batch_halts_before_next_event():
 
 
 def test_batched_loop_enforces_event_limit():
-    sim = Simulator(max_events=10, fastforward=True)
+    # A same-instant re-arm storm: delivery 11 is refused before it
+    # pops, so exactly 10 callbacks ran and the 11th event stays queued.
+    sim = Simulator(max_events=10)
+    fired = []
 
     def rearm():
+        fired.append(sim.now)
         sim.at(sim.now, rearm)
 
     sim.at(0.0, rearm)
-    with pytest.raises(SimulationError, match="event limit"):
+    with pytest.raises(SimulationError, match="event limit 10 exceeded"):
         sim.run()
+    assert len(fired) == 10
+    assert sim.events_processed == 10
+    assert len(sim.queue) == 1
 
 
 def test_cur_event_prio_visible_during_delivery():
-    sim = Simulator(fastforward=True, core="heap")
-    seen = []
-    sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=4)
-    sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=7)
-    sim.run()
-    assert seen == [4, 7]
-    assert sim.cur_event_prio is None
-
-
-def test_cur_event_prio_visible_with_ff_users_fastcore():
-    # The accelerated core tracks the delivering event's priority only
-    # while fast-forward chain families are registered (``_ff_users``) —
-    # they are the sole consumer of ``cur_event_prio``.  Kernels bump
-    # the counter at construction.
-    sim = Simulator(fastforward=True, core="fast")
-    sim._ff_users += 1
+    sim = Simulator()
     seen = []
     sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=4)
     sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=7)
@@ -159,7 +146,7 @@ def _serial_walk(anchor, interval, now):
 
 
 def test_reinstate_walk_matches_serial_float_accumulation():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim, interval=0.1)  # 0.1 is inexact in binary
     chain = _parked_chain(fam, anchor=0.05)
     armed = {}
@@ -182,7 +169,7 @@ def test_reinstate_tie_elides_point_when_chain_fires_earlier():
     # chain fire at the same instant preceded it (and was a no-op), so
     # the collided point is already elided and the re-arm lands one
     # interval later.
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim, interval=0.25, priority=6)
     chain = _parked_chain(fam, anchor=0.25)
     sim.at(0.75, lambda: fam.unpark_ready(), priority=8)  # == chain point
@@ -195,7 +182,7 @@ def test_reinstate_tie_rearms_at_now_when_chain_fires_later():
     # Priority 1 < chain priority 6: the serial heap orders the chain
     # fire after the invalidating event, so it must be re-armed at the
     # collided instant itself.
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim, interval=0.25, priority=6)
     chain = _parked_chain(fam, anchor=0.25)
     fired = []
@@ -206,7 +193,7 @@ def test_reinstate_tie_rearms_at_now_when_chain_fires_later():
 
 
 def test_unpark_ready_skips_still_inert_chains():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim)
     inert_chain = _parked_chain(fam, 0.05, inert=lambda: True, key="inert")
     live_chain = _parked_chain(fam, 0.05, inert=lambda: False, key="live")
@@ -218,7 +205,7 @@ def test_unpark_ready_skips_still_inert_chains():
 
 
 def test_dead_window_reaps_chains_whose_points_fell_inside():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim, interval=0.1)
     doomed = _parked_chain(fam, anchor=0.35, key="doomed")
     survivor = _parked_chain(fam, anchor=0.62, key="survivor")
@@ -243,7 +230,7 @@ def test_dead_window_reaps_chains_whose_points_fell_inside():
 
 
 def test_mark_dead_first_death_wins():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim)
     fam.mark_dead(1.0)
     fam.mark_dead(2.0)
@@ -251,7 +238,7 @@ def test_mark_dead_first_death_wins():
 
 
 def test_retime_walks_old_interval_up_to_change_instant():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim, interval=0.1)
     chain = _parked_chain(fam, anchor=0.05)
 
@@ -267,7 +254,7 @@ def test_retime_walks_old_interval_up_to_change_instant():
 
 
 def test_retime_same_interval_is_noop():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim, interval=0.1)
     chain = _parked_chain(fam, anchor=0.05)
     fam.retime(0.1)
@@ -275,7 +262,7 @@ def test_retime_same_interval_is_noop():
 
 
 def test_dissolve_cancels_armed_and_forgets_parked():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim)
     armed = fam.add("armed", "chain/armed", 1.0, lambda: False)
     armed.fire = lambda: None

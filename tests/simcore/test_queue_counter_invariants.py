@@ -3,16 +3,13 @@
 The queue answers ``len()`` from an O(1) ``_live`` counter and schedules
 bulk compaction from an O(1) ``_corpses`` counter.  Four code paths
 mutate those counters: ``Event.cancel`` (with its compaction threshold),
-``EventQueue.pop``/``peek_time``/``clear``, and the three hand-flattened
-lazy-pop sites in ``Simulator.run`` (batched, unbatched, general).  This
-suite drives random interleavings — including ``clear()`` fired from
-inside a handler mid-drain and cancels of other pending events from
-inside a handler — and asserts after every step that both counters match
-an O(n) scan of the heap.
-
-This suite pins ``core="heap"``: it asserts heap-representation
-internals (``_heap``, ``_live``).  The accelerated core's analogous
-invariants live in ``test_fastcore_queue_property.py``.
+``EventQueue.pop``/``peek_time``/``clear``, and the hand-flattened
+lazy-pop site in ``Simulator.run``.  This suite drives random
+interleavings — including ``clear()`` fired from inside a handler
+mid-drain and cancels of other pending events from inside a handler —
+and asserts after every step that both counters match an O(n) scan of
+the heap.  Drains run both with and without a ``until`` horizon, since
+the loop's horizon check sits between its corpse skip and its pop.
 """
 
 import pytest
@@ -20,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simcore.engine import Simulator
 from repro.simcore.events import EventQueue
+from repro.simcore.profile import EventProfiler
 
 
 def check_counters(q: EventQueue) -> None:
@@ -84,7 +82,7 @@ def test_property_compaction_threshold_never_drifts(n_cancel, n_keep):
 
 
 # ----------------------------------------------------------------------
-# Engine-loop interleavings: the three lazy-pop sites
+# Engine-loop interleavings: the run loop's lazy-pop site
 # ----------------------------------------------------------------------
 def _storm(sim, n_events, clear_at, cancel_stride):
     """Schedule a burst where handler ``clear_at`` clears the queue
@@ -104,28 +102,37 @@ def _storm(sim, n_events, clear_at, cancel_stride):
         check_counters(sim.queue)
 
     for i in range(n_events):
-        # Duplicate timestamps exercise the batched same-instant group.
+        # Duplicate timestamps exercise same-instant delivery.
         pending.append(
             sim.at((i // 4) * 0.001, lambda i=i: handler(i), priority=i % 3)
         )
     return pending
 
 
-@pytest.mark.parametrize("fastforward", [True, False])
+def _drain(sim, horizon):
+    # A horizon far past the storm delivers the same events through the
+    # loop's until-check branch.
+    sim.run(until=10.0 if horizon else None)
+
+
+@pytest.mark.parametrize("horizon", [True, False])
 @pytest.mark.parametrize("clear_at", [-1, 0, 17, 39])
 @pytest.mark.parametrize("cancel_stride", [0, 1, 3])
-def test_engine_drain_counters(fastforward, clear_at, cancel_stride):
-    sim = Simulator(fastforward=fastforward, core="heap")
+def test_engine_drain_counters(horizon, clear_at, cancel_stride):
+    sim = Simulator()
     _storm(sim, 40, clear_at, cancel_stride)
-    sim.run()
+    _drain(sim, horizon)
     check_counters(sim.queue)
     assert len(sim.queue) == 0
 
 
-@pytest.mark.parametrize("fastforward", [True, False])
-def test_engine_general_path_counters(fastforward):
-    # until= forces the general (peek-first) path regardless of the flag.
-    sim = Simulator(fastforward=fastforward, core="heap")
+@pytest.mark.parametrize("profiled", [True, False])
+def test_engine_general_path_counters(profiled):
+    # Split drains stop at a horizon mid-storm; the profiler, when
+    # attached, times each callback without touching the counters.
+    sim = Simulator()
+    if profiled:
+        sim.profiler = EventProfiler()
     pending = _storm(sim, 40, clear_at=-1, cancel_stride=2)
     sim.run(until=0.004)
     check_counters(sim.queue)
@@ -133,10 +140,12 @@ def test_engine_general_path_counters(fastforward):
     check_counters(sim.queue)
     assert len(sim.queue) == 0
     assert all(not ev.active or ev._queue is None for ev in pending)
+    if profiled:
+        assert sim.profiler.snapshot()
 
 
 def test_cancel_currently_firing_event_is_counter_neutral():
-    sim = Simulator(core="heap")
+    sim = Simulator()
     holder = []
 
     def fire():
@@ -148,14 +157,14 @@ def test_cancel_currently_firing_event_is_counter_neutral():
     check_counters(sim.queue)
 
 
-@pytest.mark.parametrize("fastforward", [True, False])
-def test_mass_cancel_inside_handler_compacts_mid_drain(fastforward):
+@pytest.mark.parametrize("horizon", [True, False])
+def test_mass_cancel_inside_handler_compacts_mid_drain(horizon):
     # One handler cancels 100 future events in a burst, tripping the
     # corpses>64 compaction threshold from inside Event.cancel while
     # Simulator.run holds its local binding to the heap list.  The
     # rebuild mutates the list in place, so the drain must continue
     # seamlessly and the counters must survive the rebuild.
-    sim = Simulator(fastforward=fastforward, core="heap")
+    sim = Simulator()
     fired = []
     doomed = [
         sim.at(1.0 + i * 0.001, lambda i=i: fired.append(i))
@@ -172,7 +181,7 @@ def test_mass_cancel_inside_handler_compacts_mid_drain(fastforward):
         assert sim.queue._corpses < len(doomed)
 
     sim.at(0.5, massacre)
-    sim.run()
+    _drain(sim, horizon)
     assert fired == ["survivor"]
     assert survivor._queue is None
     check_counters(sim.queue)
@@ -180,9 +189,9 @@ def test_mass_cancel_inside_handler_compacts_mid_drain(fastforward):
 
 def test_clear_during_batched_same_instant_group():
     # Three events at one instant; the first clears the queue.  The
-    # batched loop's same-instant continuation must not double-count
-    # the two entries clear() already removed.
-    sim = Simulator(fastforward=True, core="heap")
+    # run loop must not deliver or double-count the two entries clear()
+    # already removed.
+    sim = Simulator()
     fired = []
     sim.at(0.0, lambda: (fired.append("a"), sim.queue.clear()), priority=0)
     sim.at(0.0, lambda: fired.append("b"), priority=1)

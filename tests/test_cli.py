@@ -73,6 +73,32 @@ def test_cluster_rejects_zero_ranks(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--nodes", "4", "--iterations", "-1"],
+        ["cluster", "--nodes", "4", "--iterations", "0"],
+        ["cluster", "--nodes", "4", "--shards", "0"],
+        ["run", "table3", "--iterations", "-2"],
+        ["synth", "scatter", "--iterations", "0"],
+        ["synth", "scatter", "--ranks", "0"],
+        ["synth", "sweep", "--ranks", "0"],
+        ["synth", "sweep", "--ranks", "4,-8"],
+        ["synth", "sweep", "--iterations", "0"],
+        ["synth", "convergence", "--ranks", "0"],
+        ["synth", "convergence", "--iterations", "-3"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_non_positive_counts_rejected_at_argparse(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= 1" in captured.err
+
+
 def test_synth_scatter_prints_comparison(capsys):
     assert main([
         "synth", "scatter", "--ranks", "4", "--iterations", "3",
