@@ -15,9 +15,12 @@ class Communicator:
     _next_id = 0
 
     def __init__(self, ranks: Sequence[int], name: str = "world") -> None:
-        if len(set(ranks)) != len(ranks):
-            raise ValueError("duplicate ranks in communicator")
         self.ranks: Tuple[int, ...] = tuple(ranks)
+        #: Membership set: every collective arrival and remote send
+        #: checks membership, which must not cost O(ranks).
+        self._members = frozenset(self.ranks)
+        if len(self._members) != len(self.ranks):
+            raise ValueError("duplicate ranks in communicator")
         self.name = name
         self.cid = Communicator._next_id
         Communicator._next_id += 1
@@ -27,7 +30,7 @@ class Communicator:
         return len(self.ranks)
 
     def __contains__(self, rank: int) -> bool:
-        return rank in self.ranks
+        return rank in self._members
 
     def split(self, color_of) -> "dict":
         """MPI_Comm_split: partition ranks by ``color_of(rank)``.

@@ -26,6 +26,12 @@ GET       /v1/healthz     liveness probe
 Rejected submissions answer ``429`` (queue bounds, with
 ``Retry-After``) or ``503`` (draining), mirroring the admission
 decision exactly.
+
+Over HTTP a run names a *registered* experiment and nothing else: a
+``runner`` (``module:function``) or an unknown ``experiment`` id is a
+``400`` before anything is journaled, so a client can never make a
+worker import and call code of its choosing.  In-process callers of
+:meth:`CampaignService.submit` and campaign spec files keep ``runner``.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from urllib.parse import parse_qs, urlsplit
 import asyncio
 
 from repro.campaign.spec import RunSpec
+from repro.experiments.registry import all_ids
 from repro.serve.stream import ndjson_line, stream_jobs
 
 #: Cap on request bodies — campaign batches are small; anything larger
@@ -175,17 +182,25 @@ async def _submit(
     runs = payload.get("runs")
     if not isinstance(runs, list) or not runs:
         raise _BadRequest("'runs' must be a non-empty list")
+    known = set(all_ids())
     specs: List[Tuple[RunSpec, str]] = []
     for i, run in enumerate(runs):
         if not isinstance(run, dict) or "experiment" not in run:
             raise _BadRequest(f"runs[{i}] needs an 'experiment'")
+        if run.get("runner") is not None:
+            raise _BadRequest(
+                f"runs[{i}]: 'runner' is not accepted over HTTP; "
+                "name a registered experiment"
+            )
+        experiment = run["experiment"]
+        if not isinstance(experiment, str) or experiment not in known:
+            raise _BadRequest(f"runs[{i}]: unknown experiment {experiment!r}")
         tag = str(run.get("tag", ""))
         try:
             spec = RunSpec(
-                experiment=run["experiment"],
+                experiment=experiment,
                 params=dict(run.get("params", {})),
                 seed=run.get("seed"),
-                runner=run.get("runner"),
                 timeout=run.get("timeout"),
             )
         except (TypeError, ValueError) as exc:

@@ -13,6 +13,11 @@ the journal is the single source of truth on restart:
   crash is still not executed twice;
 * ``QUEUED`` rows simply wait for the dispatcher again.
 
+A write outside :meth:`JobQueue.transaction` commits at once; writes
+inside one block share one commit.  The service opens one block per
+submit request and one per dispatch pass, so a request's jobs land
+together (or, after a kill -9 mid-request, not at all).
+
 WAL mode keeps readers (status/metrics queries) from blocking the
 writer, and a crash can lose at most the tail of the WAL — never
 corrupt the journal (SQLite's guarantee).  All access happens on the
@@ -21,9 +26,11 @@ service's event-loop thread; the queue is not a cross-thread object.
 
 from __future__ import annotations
 
+import json
 import sqlite3
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.serve.state import (
     JOB_CANCELLED,
@@ -53,7 +60,26 @@ CREATE TABLE IF NOT EXISTS jobs (
     recovered       INTEGER NOT NULL DEFAULT 0
 );
 CREATE INDEX IF NOT EXISTS jobs_by_tenant_state ON jobs (tenant, state);
-CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state);
+CREATE INDEX IF NOT EXISTS jobs_by_state_tenant ON jobs (state, tenant);
+"""
+
+#: The oldest QUEUED job of every tenant, in one statement.  The
+#: recursive part skip-scans ``jobs_by_state_tenant``: each step seeks
+#: the first QUEUED entry of the next tenant name (entries sort by
+#: ``(state, tenant, rowid)``, so that entry is the tenant's oldest
+#: job), which costs O(tenants · log jobs) however deep the backlog.
+_HEADS = """
+WITH RECURSIVE head(tenant, rid) AS (
+    SELECT tenant, rowid FROM jobs WHERE rowid = (
+        SELECT rowid FROM jobs WHERE state = :state
+        ORDER BY tenant, rowid LIMIT 1)
+    UNION ALL
+    SELECT jobs.tenant, jobs.rowid FROM head, jobs WHERE jobs.rowid = (
+        SELECT rowid FROM jobs WHERE state = :state AND tenant > head.tenant
+        ORDER BY tenant, rowid LIMIT 1)
+)
+SELECT rowid, * FROM jobs WHERE rowid IN (SELECT rid FROM head)
+ORDER BY rowid
 """
 
 
@@ -69,8 +95,34 @@ class JobQueue:
         self._db.execute("PRAGMA synchronous=NORMAL")
         self._db.executescript(_SCHEMA)
         self._db.commit()
+        #: Open :meth:`transaction` blocks; writes commit at depth 0.
+        self._batch = 0
 
     # -- lifecycle -----------------------------------------------------
+
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Journal every write inside the block in one commit.
+
+        The outermost block commits on exit, or rolls back if the block
+        raises; a nested block joins the outer one.  A block must not
+        span an ``await``: opened and closed inside one synchronous
+        step, no other coroutine can see or join a half-written batch.
+        """
+        self._batch += 1
+        try:
+            yield
+        except BaseException:
+            self._batch -= 1
+            if not self._batch:
+                self._db.rollback()
+            raise
+        self._batch -= 1
+        self._commit()
+
+    def _commit(self) -> None:
+        if not self._batch:
+            self._db.commit()
 
     def close(self) -> None:
         """Checkpoint and close the journal (idempotent)."""
@@ -95,7 +147,7 @@ class JobQueue:
             "UPDATE jobs SET state = ?, recovered = 1 WHERE job_id = ?",
             [(JOB_QUEUED, jid) for jid in ids],
         )
-        self._db.commit()
+        self._commit()
         return [job for jid in ids if (job := self.get(jid)) is not None]
 
     # -- submission ----------------------------------------------------
@@ -106,12 +158,10 @@ class JobQueue:
         Submitting an existing ``job_id`` is idempotent: the journaled
         job is returned with ``created=False`` and nothing is written.
         """
-        existing = self.get(job.job_id)
-        if existing is not None:
-            return existing, False
         cur = self._db.execute(
             "INSERT INTO jobs (job_id, tenant, spec, cache_key, state,"
-            " attempt, submitted_epoch) VALUES (?, ?, ?, ?, ?, ?, ?)",
+            " attempt, submitted_epoch) VALUES (?, ?, ?, ?, ?, ?, ?)"
+            " ON CONFLICT (job_id) DO NOTHING",
             (
                 job.job_id,
                 job.tenant,
@@ -122,7 +172,9 @@ class JobQueue:
                 job.submitted_epoch,
             ),
         )
-        self._db.commit()
+        self._commit()
+        if cur.rowcount != 1:
+            return self.get(job.job_id), False
         job.seq = cur.lastrowid or 0
         job.state = JOB_QUEUED
         return job, True
@@ -141,7 +193,7 @@ class JobQueue:
             "WHERE job_id = ? AND state = ?",
             (JOB_RUNNING, epoch, job_id, JOB_QUEUED),
         )
-        self._db.commit()
+        self._commit()
         if cur.rowcount != 1:
             return None
         return self.get(job_id)
@@ -173,7 +225,7 @@ class JobQueue:
                 JOB_RUNNING,
             ),
         )
-        self._db.commit()
+        self._commit()
         return self.get(job_id) if cur.rowcount == 1 else None
 
     def requeue(self, job_id: str, error: str) -> Optional[Job]:
@@ -183,7 +235,7 @@ class JobQueue:
             "WHERE job_id = ? AND state = ?",
             (JOB_QUEUED, error, job_id, JOB_RUNNING),
         )
-        self._db.commit()
+        self._commit()
         return self.get(job_id) if cur.rowcount == 1 else None
 
     def fail(self, job_id: str, error: str, epoch: int) -> Optional[Job]:
@@ -193,7 +245,7 @@ class JobQueue:
             "WHERE job_id = ? AND state IN (?, ?)",
             (JOB_FAILED, error, epoch, job_id, JOB_QUEUED, JOB_RUNNING),
         )
-        self._db.commit()
+        self._commit()
         return self.get(job_id) if cur.rowcount == 1 else None
 
     def cancel(self, job_id: str, epoch: int) -> Optional[Job]:
@@ -208,7 +260,7 @@ class JobQueue:
             "WHERE job_id = ? AND state IN (?, ?)",
             (JOB_CANCELLED, epoch, job_id, JOB_QUEUED, JOB_RUNNING),
         )
-        self._db.commit()
+        self._commit()
         return self.get(job_id) if cur.rowcount == 1 else None
 
     # -- queries -------------------------------------------------------
@@ -220,19 +272,13 @@ class JobQueue:
         ).fetchone()
         return _job_from_row(row) if row is not None else None
 
-    def queued(self, tenant: Optional[str] = None) -> List[Job]:
-        """QUEUED jobs in submission order (optionally one tenant's)."""
-        if tenant is None:
-            rows = self._db.execute(
-                "SELECT rowid, * FROM jobs WHERE state = ? ORDER BY rowid",
-                (JOB_QUEUED,),
-            ).fetchall()
-        else:
-            rows = self._db.execute(
-                "SELECT rowid, * FROM jobs WHERE state = ? AND tenant = ? "
-                "ORDER BY rowid",
-                (JOB_QUEUED, tenant),
-            ).fetchall()
+    def heads(self) -> List[Job]:
+        """The oldest QUEUED job of each tenant, in submission order.
+
+        One row per tenant with queued work, whatever the backlog, so
+        a dispatch decision decodes at most that many specs.
+        """
+        rows = self._db.execute(_HEADS, {"state": JOB_QUEUED}).fetchall()
         return [_job_from_row(r) for r in rows]
 
     def jobs_for(self, tenant: str) -> List[Job]:
@@ -288,14 +334,10 @@ class JobQueue:
 
 
 def _spec_json(spec: Dict) -> str:
-    import json
-
     return json.dumps(spec, sort_keys=True)
 
 
 def _job_from_row(row: sqlite3.Row) -> Job:
-    import json
-
     return Job(
         job_id=row["job_id"],
         tenant=row["tenant"],

@@ -227,32 +227,41 @@ class CampaignService:
         ``specs`` is a list of ``(RunSpec, tag)`` pairs.  Admission is
         checked per job as the batch lands, so a batch can be partially
         accepted; the first rejection is returned alongside the
-        accepted jobs.  Accepted jobs are journaled before return.
+        accepted jobs.  The accepted jobs are journaled in one
+        transaction, committed before return.
         """
         accepted: List[Job] = []
         rejection = None
         acct = self.registry.get(tenant)
-        for spec, tag in specs:
-            decision = self.admission.admit(
-                tenant_depth=self.queue.depth(tenant),
-                total_depth=self.queue.depth(),
-            )
-            if not decision.ok:
-                acct.rejections += 1
-                rejection = decision
-                break
-            job = Job(
-                job_id=job_id_for(tenant, spec, tag),
-                tenant=tenant,
-                spec=spec.to_payload(),
-                cache_key=self.cache.key_for(spec) if self.cache.enabled else "",
-                submitted_epoch=self.clock.epoch,
-            )
-            job, created = self.queue.submit(job)
-            if created:
-                acct.submitted += 1
-                self.scheduler.rejoin(tenant)
-            accepted.append(job)
+        # Nothing else touches the queue until this call returns, so
+        # the depths are read once and then counted locally.
+        tenant_depth = self.queue.depth(tenant)
+        total_depth = self.queue.depth()
+        with self.queue.transaction():
+            for spec, tag in specs:
+                decision = self.admission.admit(
+                    tenant_depth=tenant_depth, total_depth=total_depth
+                )
+                if not decision.ok:
+                    acct.rejections += 1
+                    rejection = decision
+                    break
+                job = Job(
+                    job_id=job_id_for(tenant, spec, tag),
+                    tenant=tenant,
+                    spec=spec.to_payload(),
+                    cache_key=(
+                        self.cache.key_for(spec) if self.cache.enabled else ""
+                    ),
+                    submitted_epoch=self.clock.epoch,
+                )
+                job, created = self.queue.submit(job)
+                if created:
+                    acct.submitted += 1
+                    tenant_depth += 1
+                    total_depth += 1
+                    self.scheduler.rejoin(tenant)
+                accepted.append(job)
         self._active_tenants.add(tenant)
         self._kick()
         return accepted, rejection
@@ -284,43 +293,50 @@ class CampaignService:
             self._fill_slots()
 
     def _fill_slots(self) -> None:
-        """Hand queued jobs to free slots, fair-share order."""
-        while len(self._inflight) < self.workers.slots:
-            queued = self.queue.queued()
-            if not queued:
-                break
-            by_tenant: Dict[str, Job] = {}
-            for job in queued:  # oldest first per tenant
-                by_tenant.setdefault(job.tenant, job)
-                self._active_tenants.add(job.tenant)
-            tenant = self.scheduler.pick(list(by_tenant))
-            if tenant is None:
-                break
-            job = by_tenant[tenant]
+        """Hand queued jobs to free slots, fair-share order.
 
-            # Cross-tenant content-addressed cache: a result computed
-            # for any tenant answers every identical spec instantly,
-            # without consuming a worker slot.
-            if job.cache_key:
-                data = self.cache.get(job.cache_key)
-                if data is not None:
-                    done = self.queue.complete(
-                        job.job_id, data, self.clock.epoch, cache_hit=True
-                    )
-                    if done is not None:
+        Each slot fill reads one head job per tenant with queued work
+        (``JobQueue.heads``), whatever the backlog.  The whole pass is
+        one journal transaction: cache-hit completions and claims are
+        committed before any claimed job is handed to a worker and
+        before any stream is notified.
+        """
+        free = self.workers.slots - len(self._inflight)
+        claimed: List[Job] = []
+        completed = False
+        with self.queue.transaction():
+            while len(claimed) < free:
+                heads = {job.tenant: job for job in self.queue.heads()}
+                if not heads:
+                    break
+                self._active_tenants.update(heads)
+                tenant = self.scheduler.pick(list(heads))
+                job = heads[tenant]
+
+                # Cross-tenant content-addressed cache: a result computed
+                # for any tenant answers every identical spec instantly,
+                # without consuming a worker slot.
+                if job.cache_key:
+                    data = self.cache.get(job.cache_key)
+                    if data is not None:
+                        self.queue.complete(
+                            job.job_id, data, self.clock.epoch, cache_hit=True
+                        )
                         acct = self.registry.get(tenant)
                         acct.completed += 1
                         acct.cache_hits += 1
-                        self.broker.publish()
-                    continue
+                        completed = True
+                        continue
 
-            claimed = self.queue.claim(job.job_id, self.clock.epoch)
-            if claimed is None:
-                continue  # cancelled under our feet
-            self.scheduler.charge(tenant)
+                # heads() just read it QUEUED in this transaction, so
+                # the claim cannot lose a race.
+                claimed.append(self.queue.claim(job.job_id, self.clock.epoch))
+                self.scheduler.charge(tenant)
+        if claimed or completed:
             self.broker.publish()
+        for job in claimed:
             self._inflight[job.job_id] = asyncio.create_task(
-                self._run_job(claimed)
+                self._run_job(job)
             )
 
     async def _run_job(self, job: Job) -> None:

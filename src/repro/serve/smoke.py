@@ -1,9 +1,12 @@
 """Bounded end-to-end self-test: ``repro-hpcsched serve --smoke``.
 
 Boots a real :class:`~repro.serve.service.CampaignService` on an
-ephemeral port, then drives the ISSUE's acceptance scenario from the
+ephemeral port, then drives the acceptance scenario from the
 outside, over HTTP, exactly as three independent tenants would:
 
+0. a run naming a ``runner`` callable is refused with ``400`` and
+   leaves the journal untouched (HTTP accepts registered experiments
+   only);
 1. tenant *alice* runs the built-in ``smoke`` campaign matrix and
    streams her results (NDJSON, ``follow=1``);
 2. *bob* and *carol* submit the identical matrix and are answered
@@ -182,6 +185,24 @@ def run_smoke(
         health = client.healthz()
         _check(health["ok"] and health["epoch"] == 0, "healthz")
         step("healthz answers at epoch 0")
+
+        # The HTTP boundary: a run naming a ``runner`` (code for a
+        # worker to import and call) is refused before it is journaled.
+        rows = sum(client.metrics()["states"].values())
+        refused = client.submit(
+            "mallory",
+            [dict(matrix[0], runner="subprocess:getoutput")],
+            ok=False,
+        )
+        _check(
+            refused["_status"] == 400,
+            f"a run naming a runner answers 400, got {refused['_status']}",
+        )
+        _check(
+            sum(client.metrics()["states"].values()) == rows,
+            "a refused run must not be journaled",
+        )
+        step("a run naming a runner answered 400, nothing journaled")
 
         # Round 1: alice executes the matrix for real.
         alice = _submit_and_stream(client, "alice", matrix)

@@ -9,17 +9,38 @@ from typing import Any, Callable, Dict, Optional
 
 import pytest
 
-from repro.serve import CampaignService, ServeConfig, ServeClient
+from repro.campaign.spec import RunSpec
+from repro.serve import CampaignService, Job, ServeConfig, ServeClient, job_id_for
 
-STUBS = "tests.serve.stubs"
-CAMPAIGN_STUBS = "tests.campaign.stubs"
+from tests.campaign import stubs as campaign_stubs
+from tests.serve import stubs as serve_stubs
+
+#: Stub runs registered as experiments for the HTTP tests: the API
+#: accepts registered experiment ids only, never a ``runner`` path.
+STUB_EXPERIMENTS = {
+    "serve_stub_ok": campaign_stubs.ok_run,
+    "serve_stub_gate": serve_stubs.gate_run,
+    "serve_stub_counted": serve_stubs.counted_run,
+}
+
+
+@pytest.fixture
+def stub_experiments(monkeypatch):
+    """Register :data:`STUB_EXPERIMENTS` for one test.
+
+    Process-mode workers fork from the test process, so the entries
+    must be in the registry before the service starts its pool.
+    """
+    from repro.experiments.registry import EXPERIMENTS
+
+    for name, fn in STUB_EXPERIMENTS.items():
+        monkeypatch.setitem(EXPERIMENTS, name, fn)
 
 
 def ok_run(seed: int = 0, value: float = 1.0) -> Dict[str, Any]:
     """A run descriptor for the always-succeeding campaign stub."""
     return {
-        "experiment": "stub",
-        "runner": f"{CAMPAIGN_STUBS}:ok_run",
+        "experiment": "serve_stub_ok",
         "params": {"value": value},
         "seed": seed,
     }
@@ -28,8 +49,7 @@ def ok_run(seed: int = 0, value: float = 1.0) -> Dict[str, Any]:
 def gate_run(gate_dir: str, token: str, seed: int = 0) -> Dict[str, Any]:
     """A run descriptor that blocks until ``<gate_dir>/<token>`` exists."""
     return {
-        "experiment": "stub",
-        "runner": f"{STUBS}:gate_run",
+        "experiment": "serve_stub_gate",
         "params": {"gate_dir": str(gate_dir), "token": token},
         "seed": seed,
     }
@@ -38,11 +58,21 @@ def gate_run(gate_dir: str, token: str, seed: int = 0) -> Dict[str, Any]:
 def counted_run(count_dir: str, seed: int = 0) -> Dict[str, Any]:
     """A run descriptor leaving one marker file per execution."""
     return {
-        "experiment": "stub",
-        "runner": f"{STUBS}:counted_run",
+        "experiment": "serve_stub_counted",
         "params": {"count_dir": str(count_dir)},
         "seed": seed,
     }
+
+
+def make_job(tenant: str = "t", seed: int = 0, tag: str = "") -> Job:
+    """A journal-ready job; ``seed`` varies the spec (and cache key)."""
+    spec = RunSpec(experiment="stub", params={"value": 1.0}, seed=seed)
+    return Job(
+        job_id=job_id_for(tenant, spec, tag),
+        tenant=tenant,
+        spec=spec.to_payload(),
+        cache_key="k" + str(seed),
+    )
 
 
 def serve_config(root, **overrides) -> ServeConfig:
@@ -129,7 +159,7 @@ class ServiceThread:
 
 
 @pytest.fixture
-def http_service(tmp_path):
+def http_service(tmp_path, stub_experiments):
     """A running threaded service; yields the harness, always stops it."""
     harnesses = []
 

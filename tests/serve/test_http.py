@@ -212,3 +212,45 @@ def test_adaptive_fair_share_shifts_slots_to_the_laggard(http_service):
     tenants = {t["tenant"]: t for t in metrics["tenants"]}
     assert tenants["alice"]["dispatches"] == 3
     assert tenants["bob"]["dispatches"] == 3
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param(
+            {"experiment": "x", "runner": "subprocess:getoutput"},
+            id="runner-and-unknown-experiment",
+        ),
+        pytest.param(
+            {"experiment": "serve_stub_ok", "runner": "subprocess:getoutput"},
+            id="runner-on-registered-experiment",
+        ),
+        pytest.param({"experiment": "x"}, id="unknown-experiment"),
+    ],
+)
+def test_submit_rejects_runner_and_unknown_experiment(
+    http_service, tmp_path, bad
+):
+    """Over HTTP a run names a registered experiment only: a client
+    ``runner`` would make a worker import and call a function of the
+    client's choosing.  The whole request is refused before anything
+    is journaled, including the valid run ahead of the bad one."""
+    marker = tmp_path / "executed"
+    bad = dict(bad, params={"cmd": f"echo ran > {marker}"})
+    client = http_service().client()
+    with pytest.raises(ServeError) as err:
+        client._request(
+            "POST", "/v1/submit", {"tenant": "mallory", "runs": [bad]}
+        )
+    assert err.value.status == 400
+    with pytest.raises(ServeError) as err:
+        client.submit("mallory", [ok_run(seed=1), bad])
+    assert err.value.status == 400
+    assert client.metrics()["states"] == {}
+    assert client.tenant_status("mallory")["jobs"] == []
+
+    # A dispatch pass after the refusals still finds nothing to run.
+    doc = client.submit("alice", [ok_run(seed=2)])
+    wait_all_ok(client, [j["job_id"] for j in doc["accepted"]])
+    assert client.metrics()["states"] == {"OK": 1}
+    assert not marker.exists()

@@ -9,20 +9,11 @@ from repro.serve import (
     JOB_OK,
     JOB_QUEUED,
     JOB_RUNNING,
-    Job,
     JobQueue,
     job_id_for,
 )
 
-
-def make_job(tenant="t", seed=0, tag="") -> Job:
-    spec = RunSpec(experiment="stub", params={"value": 1.0}, seed=seed)
-    return Job(
-        job_id=job_id_for(tenant, spec, tag),
-        tenant=tenant,
-        spec=spec.to_payload(),
-        cache_key="k" + str(seed),
-    )
+from tests.serve.conftest import make_job
 
 
 @pytest.fixture
@@ -113,6 +104,41 @@ class TestTransitions:
         assert queue.cancel(job.job_id, epoch=4) is None
 
 
+class TestTransaction:
+    def test_block_commits_once_on_exit(self, queue, tmp_path):
+        observer = JobQueue(tmp_path / "jobs.db")  # a second connection
+        try:
+            with queue.transaction():
+                job, _ = queue.submit(make_job(seed=1))
+                queue.claim(job.job_id, epoch=0)
+                assert queue.get(job.job_id).state == JOB_RUNNING
+                assert observer.get(job.job_id) is None  # not yet committed
+            assert observer.get(job.job_id).state == JOB_RUNNING
+        finally:
+            observer.close()
+
+    def test_block_rolls_back_when_it_raises(self, queue):
+        kept, _ = queue.submit(make_job(seed=1))
+        with pytest.raises(RuntimeError):
+            with queue.transaction():
+                queue.submit(make_job(seed=2))
+                queue.claim(kept.job_id, epoch=0)
+                raise RuntimeError("boom")
+        assert [j.job_id for j in queue.all_jobs()] == [kept.job_id]
+        assert queue.get(kept.job_id).state == JOB_QUEUED
+
+    def test_nested_block_joins_the_outer_one(self, queue, tmp_path):
+        observer = JobQueue(tmp_path / "jobs.db")
+        try:
+            with queue.transaction():
+                with queue.transaction():
+                    job, _ = queue.submit(make_job(seed=1))
+                assert observer.get(job.job_id) is None
+            assert observer.get(job.job_id).state == JOB_QUEUED
+        finally:
+            observer.close()
+
+
 class TestCrashRecovery:
     def test_running_jobs_requeued_on_reopen(self, queue, tmp_path):
         done_job, _ = queue.submit(make_job(seed=1))
@@ -154,9 +180,17 @@ class TestQueries:
         assert queue.depth("t") == 1
         assert queue.depth("other") == 1
 
-    def test_queued_is_fifo_per_submission_order(self, queue):
-        ids = [queue.submit(make_job(seed=i))[0].job_id for i in range(3)]
-        assert [j.job_id for j in queue.queued()] == ids
+    def test_heads_are_oldest_queued_per_tenant(self, queue):
+        a = [queue.submit(make_job(tenant="a", seed=i))[0] for i in range(3)]
+        b = [queue.submit(make_job(tenant="b", seed=i))[0] for i in range(2)]
+        assert [j.job_id for j in queue.heads()] == [a[0].job_id, b[0].job_id]
+        queue.claim(a[0].job_id, epoch=0)
+        queue.cancel(b[0].job_id, epoch=0)
+        assert [j.job_id for j in queue.heads()] == [a[1].job_id, b[1].job_id]
+        queue.requeue(a[0].job_id, "lost")
+        assert [j.job_id for j in queue.heads()] == [a[0].job_id, b[1].job_id]
+        queue.cancel(b[1].job_id, epoch=0)
+        assert [j.job_id for j in queue.heads()] == [a[0].job_id]
 
     def test_counts_and_pending(self, queue):
         a, _ = queue.submit(make_job(seed=1))
